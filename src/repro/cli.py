@@ -317,10 +317,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 parse_pause_after(args.pause_after) if args.pause_after else None
             ),
             chaos=Path(args.chaos) if args.chaos else None,
-            codec=args.codec,
             presumption=args.presumption,
             ro_sites=_parse_ro(args.ro),
-            loop=args.loop,
             trace_max_entries=args.trace_cap,
         )
     except Exception as error:  # noqa: BLE001 - CLI boundary
@@ -346,8 +344,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         args.data_dir if args.data_dir else tempfile.mkdtemp(prefix="repro-cluster-")
     )
     try:
-        # Built inside the guard: config mistakes (bad presumption,
-        # loop, or read-only site list) exit EXIT_CONFIG, not a trace.
+        # Built inside the guard: config mistakes (bad presumption or
+        # read-only site list) exit EXIT_CONFIG, not a trace.
         config = ClusterConfig(
             spec_name=args.spec,
             n_sites=args.n_sites,
@@ -359,10 +357,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             decide_timeout=args.timeout,
             ready_timeout=args.timeout,
             max_inflight=args.max_inflight,
-            codec=args.codec,
             presumption=args.presumption,
             ro_sites=_parse_ro(args.ro),
-            loop=args.loop,
             trace_cap=args.trace_cap,
         )
         with ClusterHarness(config) as harness:
@@ -427,10 +423,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             requery_interval=args.requery_interval,
             timeout=args.timeout,
             fsync_delay_ms=args.fsync_delay_ms,
-            codec=args.codec,
             presumption=args.presumption,
             ro_sites=_parse_ro(args.ro),
-            loop=args.loop,
             trace_cap=args.trace_cap,
         )
         result = run_soak(config)
@@ -1125,25 +1119,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos policy JSON (ChaosPolicy.save) shaping this site's "
         "inbound links, fsync latency, and clock skew",
     )
-    serve.add_argument(
-        "--codec",
-        choices=("json", "bin"),
-        default="json",
-        help="wire codec for outgoing peer frames (negotiated per "
-        "connection; json keeps tcpdump traffic readable)",
-    )
-    # No choices= on --presumption/--loop: unknown values must exit
+    # No choices= on --presumption: unknown values must exit
     # EXIT_CONFIG via LiveConfigError, not argparse's usage error.
     serve.add_argument(
         "--presumption",
         default="none",
         help="commit presumption: none (force everything), abort "
         "(presumed abort), or commit (presumed commit)",
-    )
-    serve.add_argument(
-        "--loop",
-        default="asyncio",
-        help="event loop implementation: asyncio or uvloop (if installed)",
     )
     serve.add_argument(
         "--ro",
@@ -1239,21 +1221,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--timeout", type=float, default=30.0)
     cluster.add_argument(
-        "--codec",
-        choices=("json", "bin"),
-        default="json",
-        help="wire codec every site uses for peer frames",
-    )
-    cluster.add_argument(
         "--presumption",
         default="none",
         help="commit presumption every site runs under "
         "(none, abort, or commit)",
-    )
-    cluster.add_argument(
-        "--loop",
-        default="asyncio",
-        help="event loop every site process runs (asyncio or uvloop)",
     )
     cluster.add_argument(
         "--ro",
@@ -1329,21 +1300,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument("--timeout", type=float, default=30.0)
     soak.add_argument(
-        "--codec",
-        choices=("json", "bin"),
-        default="json",
-        help="wire codec every site uses for peer frames",
-    )
-    soak.add_argument(
         "--presumption",
         default="none",
         help="commit presumption every site runs under "
         "(none, abort, or commit)",
-    )
-    soak.add_argument(
-        "--loop",
-        default="asyncio",
-        help="event loop every site process runs (asyncio or uvloop)",
     )
     soak.add_argument(
         "--ro",

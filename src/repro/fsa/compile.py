@@ -1,202 +1,18 @@
-"""Precompiled transition tables for the FSA hot path.
+"""Kept only for ``perfbench/micro.py``, which imports :func:`interpreted_engine`.
 
-The engine's inner loop asks one question per pump: *which transitions
-out of the current state have their read set buffered?*  Interpreted,
-that is a dict lookup by state name plus a frozenset-of-dataclass
-inclusion test — every ``Msg`` gets re-hashed (three string hashes and
-a tuple combine) on every poll.  Compiling an automaton replaces both
-with integers: states are interned into a sorted tuple, transitions
-live in a flat tuple-of-tuples indexed by state number, and every
-message appearing in a read set is assigned a small int key so
-enabledness is a ``frozenset[int] <= set[int]`` test over pre-hashed
-ints.
-
-Compilation is *structural only* — a :class:`CompiledTransition`
-carries the original transition's ``source``/``target``/``reads``/
-``writes``/``vote`` unchanged (and delegates ``describe``), so the
-engine fires the exact same objects' effects in the exact same order
-and the trace stream is bit-identical either way.  That equivalence is
-pinned by the differential suite in
-``tests/unit/test_fsa_compile.py``, which replays the explorer corpus
-and direct simulator runs under both modes.
-
-Tables are built once per :class:`~repro.fsa.automaton.SiteAutomaton`
-(weakly memoized) and eagerly at spec-load time by
-:class:`~repro.fsa.spec.ProtocolSpec`, so neither the simulator nor a
-live node ever compiles on the transaction path.  The module-level
-switch exists for the differential tests; production code never turns
-it off.
+The engine has a single implementation: it interprets the
+:class:`~repro.fsa.automaton.SiteAutomaton` directly, the same model the
+analysis layer reasons about.  The context manager below is a no-op so
+the benchmark's "interpreted" timing keeps its import.
 """
 
 from __future__ import annotations
 
 import contextlib
-import weakref
-from typing import Iterator, Mapping
-
-from repro.fsa.automaton import SiteAutomaton, Transition
-from repro.fsa.messages import Msg
-from repro.types import SiteId
-
-
-class CompiledTransition:
-    """One transition with its integer-keyed fast-path lookups.
-
-    Mirrors the attribute surface of
-    :class:`~repro.fsa.automaton.Transition` (``source``, ``target``,
-    ``reads``, ``writes``, ``vote``, ``describe``) so the engine's
-    firing path handles both interchangeably, and adds:
-
-    Attributes:
-        reads_keys: The read set as interned message keys.
-        target_idx: The target state's index in the compiled automaton.
-        target_final: Whether the target is a final (commit/abort) state.
-        origin: The interpreted transition this was compiled from.
-    """
-
-    __slots__ = (
-        "source",
-        "target",
-        "reads",
-        "writes",
-        "vote",
-        "reads_keys",
-        "target_idx",
-        "target_final",
-        "origin",
-    )
-
-    def __init__(
-        self,
-        origin: Transition,
-        reads_keys: frozenset[int],
-        target_idx: int,
-        target_final: bool,
-    ) -> None:
-        self.origin = origin
-        self.source = origin.source
-        self.target = origin.target
-        self.reads = origin.reads
-        self.writes = origin.writes
-        self.vote = origin.vote
-        self.reads_keys = reads_keys
-        self.target_idx = target_idx
-        self.target_final = target_final
-
-    def describe(self) -> str:
-        """Render exactly as the interpreted transition would."""
-        return self.origin.describe()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledTransition({self.describe()})"
-
-
-class CompiledAutomaton:
-    """Flat tuple-indexed lookup tables for one site automaton.
-
-    Attributes:
-        automaton: The source automaton.
-        states: All state names, sorted — index position is the state's
-            interned id.
-        index: State name -> interned id.
-        initial_idx: Interned id of the initial state.
-        out: ``out[state_idx]`` is the tuple of
-            :class:`CompiledTransition` leaving that state, in the same
-            order ``SiteAutomaton.out_transitions`` yields them (the
-            engine's tie-break order is part of observable behavior).
-        msg_keys: Message -> interned key, covering every message that
-            appears in some read set.  Messages outside the map can
-            never enable a transition.
-    """
-
-    __slots__ = ("automaton", "states", "index", "initial_idx", "out", "msg_keys")
-
-    def __init__(self, automaton: SiteAutomaton) -> None:
-        self.automaton = automaton
-        states = tuple(sorted(automaton.states))
-        self.states = states
-        index = {state: i for i, state in enumerate(states)}
-        self.index = index
-        self.initial_idx = index[automaton.initial]
-        msg_keys: dict[Msg, int] = {}
-        rows = []
-        for state in states:
-            row = []
-            for transition in automaton.out_transitions(state):
-                keys = []
-                for msg in sorted(transition.reads):
-                    key = msg_keys.get(msg)
-                    if key is None:
-                        key = msg_keys[msg] = len(msg_keys)
-                    keys.append(key)
-                row.append(
-                    CompiledTransition(
-                        transition,
-                        frozenset(keys),
-                        index[transition.target],
-                        automaton.is_final(transition.target),
-                    )
-                )
-            rows.append(tuple(row))
-        self.out: tuple[tuple[CompiledTransition, ...], ...] = tuple(rows)
-        self.msg_keys = msg_keys
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompiledAutomaton(site={self.automaton.site}, "
-            f"states={len(self.states)}, msgs={len(self.msg_keys)})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Compilation cache and the differential-test switch
-# ----------------------------------------------------------------------
-
-_CACHE: "weakref.WeakKeyDictionary[SiteAutomaton, CompiledAutomaton]" = (
-    weakref.WeakKeyDictionary()
-)
-
-_enabled = True
-
-
-def engine_compiled() -> bool:
-    """Whether new engines use compiled transition tables (default on)."""
-    return _enabled
-
-
-def set_engine_compiled(enabled: bool) -> bool:
-    """Flip the compiled/interpreted switch; returns the previous value.
-
-    Exists for the differential test suite — production code never
-    interprets.  Engines capture the mode at construction, so flipping
-    mid-run affects only engines built afterwards.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
+from typing import Iterator
 
 
 @contextlib.contextmanager
 def interpreted_engine() -> Iterator[None]:
-    """Run a block with newly built engines interpreting their specs."""
-    previous = set_engine_compiled(False)
-    try:
-        yield
-    finally:
-        set_engine_compiled(previous)
-
-
-def compile_automaton(automaton: SiteAutomaton) -> CompiledAutomaton:
-    """The (memoized) compiled tables for one automaton."""
-    compiled = _CACHE.get(automaton)
-    if compiled is None:
-        compiled = _CACHE[automaton] = CompiledAutomaton(automaton)
-    return compiled
-
-
-def compile_spec(
-    automata: Mapping[SiteId, SiteAutomaton],
-) -> dict[SiteId, CompiledAutomaton]:
-    """Compile every site automaton of a spec (spec-load-time warmup)."""
-    return {site: compile_automaton(a) for site, a in automata.items()}
+    """No-op: every engine interprets its automaton."""
+    yield

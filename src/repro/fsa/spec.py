@@ -12,7 +12,6 @@ from typing import Iterable, Mapping, Optional
 
 from repro.errors import InvalidProtocolError
 from repro.fsa.automaton import SiteAutomaton
-from repro.fsa.compile import CompiledAutomaton, compile_spec
 from repro.fsa.messages import Msg
 from repro.types import ProtocolClass, SiteId
 
@@ -56,10 +55,6 @@ class ProtocolSpec:
             from repro.fsa.validate import validate_spec
 
             validate_spec(self)
-        # Compile every automaton's flat transition tables now, at
-        # spec-load time, so no engine (simulator or live node) ever
-        # pays the compilation on the transaction path.
-        self.compiled: dict[SiteId, CompiledAutomaton] = compile_spec(self.automata)
         #: Sites that leave the protocol through a read-only exit: they
         #: have no commit/abort states, hold no outcome, and are pruned
         #: from phase-2/3 fan-outs, termination, and recovery queries.

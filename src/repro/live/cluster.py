@@ -52,8 +52,7 @@ from repro.errors import (
 )
 from repro.live import client
 from repro.live.chaos import ChaosPolicy, gray_link_policy
-from repro.live.node import LOOPS, PRESUMPTIONS
-from repro.live.wire_bin import CODEC_JSON, CODECS
+from repro.live.node import PRESUMPTIONS
 from repro.types import Outcome, SiteId
 
 
@@ -82,10 +81,6 @@ class ClusterConfig:
     #: ``data_dir/chaos.json`` at spawn time and passed to every site
     #: via ``repro serve --chaos`` (each site applies its own slice).
     chaos: Optional[ChaosPolicy] = None
-    #: Wire codec for peer links (``"json"`` or ``"bin"``); every site
-    #: gets ``repro serve --codec`` with it.  Mixed clusters are legal
-    #: (negotiated per connection) but a harness spawns uniform ones.
-    codec: str = CODEC_JSON
     #: Commit presumption, cluster-uniform (``none`` / ``abort`` /
     #: ``commit``); every site gets ``repro serve --presumption``.
     presumption: str = "none"
@@ -93,9 +88,6 @@ class ClusterConfig:
     #: every site builds the same spec); excluded from the benchmark's
     #: gateway rotation — a read-only site never hosts a client begin.
     ro_sites: tuple[SiteId, ...] = ()
-    #: Event-loop implementation every site runs (``asyncio`` /
-    #: ``uvloop``).
-    loop: str = "asyncio"
     #: Per-site trace ring capacity override (``repro serve
     #: --trace-cap``); ``None`` keeps the serve default.
     trace_cap: Optional[int] = None
@@ -104,21 +96,13 @@ class ClusterConfig:
         self.data_dir = Path(self.data_dir)
         if self.n_sites < 2:
             raise ClusterError("a live cluster needs at least 2 sites")
-        if self.codec not in CODECS:
-            raise ClusterError(
-                f"codec must be one of {', '.join(CODECS)}, got {self.codec!r}"
-            )
         # Config mistakes exit with EXIT_CONFIG, not EXIT_TRANSPORT: an
-        # unknown presumption or loop silently defaulting would skew a
-        # whole benchmark sweep.
+        # unknown presumption silently defaulting would skew a whole
+        # benchmark sweep.
         if self.presumption not in PRESUMPTIONS:
             raise LiveConfigError(
                 f"presumption must be one of {', '.join(PRESUMPTIONS)}, "
                 f"got {self.presumption!r}"
-            )
-        if self.loop not in LOOPS:
-            raise LiveConfigError(
-                f"loop must be one of {', '.join(LOOPS)}, got {self.loop!r}"
             )
         self.ro_sites = tuple(sorted(SiteId(int(s)) for s in self.ro_sites))
         if self.trace_cap is not None and self.trace_cap < 1:
@@ -201,9 +185,7 @@ class ClusterHarness:
             "--termination-mode", self.config.termination_mode,
             "--max-inflight", str(self.config.max_inflight),
             "--vote", vote,
-            "--codec", self.config.codec,
             "--presumption", self.config.presumption,
-            "--loop", self.config.loop,
         ]
         if self.config.ro_sites:
             argv += ["--ro", ",".join(str(int(s)) for s in self.config.ro_sites)]
@@ -499,9 +481,7 @@ class ClusterHarness:
         return {
             "protocol": self.config.spec_name,
             "n_sites": self.config.n_sites,
-            "codec": self.config.codec,
             "presumption": self.config.presumption,
-            "loop": self.config.loop,
             "ro_sites": [int(s) for s in self.config.ro_sites],
             "txns": n_txns,
             "concurrency": concurrency,

@@ -69,7 +69,6 @@ from repro.live.wire import (
     read_frame,
     stamp_trace_context,
 )
-from repro.live.wire_bin import CODEC_JSON, CODECS
 from repro.metrics import WALL_MS_BUCKETS, MetricsRegistry
 from repro.protocols import build
 from repro.runtime.decision import TerminationRule
@@ -92,9 +91,6 @@ from repro.types import Outcome, SiteId, Vote
 
 #: The selectable commit presumptions (see :class:`LiveConfig`).
 PRESUMPTIONS = ("none", "abort", "commit")
-
-#: The selectable event-loop implementations.
-LOOPS = ("asyncio", "uvloop")
 
 #: Minimum seconds between metrics-snapshot writes while transactions
 #: are in flight.  Snapshots are advisory; serializing the registry per
@@ -144,10 +140,6 @@ class LiveConfig:
             :class:`~repro.live.chaos.ChaosPolicy`.  The site applies
             its own slice: inbound gray-link rules, its fsync delay,
             and its clock skew.
-        codec: Wire codec for this site's *outgoing* peer frames
-            (``"json"`` or ``"bin"``), negotiated per connection via
-            the hello handshake — sites with different codecs
-            interoperate.  Client traffic is always JSON.
         presumption: Commit presumption governing which DT-log records
             demand an fsync: ``"none"`` (every vote and decision is
             forced — the paper's baseline), ``"abort"`` (no votes and
@@ -157,8 +149,6 @@ class LiveConfig:
             thereafter).  Must agree across the cluster.
         ro_sites: Sites taking the read-only one-phase exit (must agree
             across the cluster — every site builds the same spec).
-        loop: Event-loop implementation: ``"asyncio"`` or ``"uvloop"``
-            (the latter only if importable; checked at serve time).
     """
 
     site: SiteId
@@ -177,10 +167,8 @@ class LiveConfig:
     max_inflight: int = 64
     trace_max_entries: int = 200_000
     chaos: Optional[Path] = None
-    codec: str = CODEC_JSON
     presumption: str = "none"
     ro_sites: tuple[SiteId, ...] = ()
-    loop: str = "asyncio"
 
     def __post_init__(self) -> None:
         self.site = SiteId(int(self.site))
@@ -193,18 +181,10 @@ class LiveConfig:
         }
         if self.vote not in ("yes", "no"):
             raise LiveConfigError(f"vote must be 'yes' or 'no', got {self.vote!r}")
-        if self.codec not in CODECS:
-            raise LiveConfigError(
-                f"codec must be one of {', '.join(CODECS)}, got {self.codec!r}"
-            )
         if self.presumption not in PRESUMPTIONS:
             raise LiveConfigError(
                 f"presumption must be one of {', '.join(PRESUMPTIONS)}, "
                 f"got {self.presumption!r}"
-            )
-        if self.loop not in LOOPS:
-            raise LiveConfigError(
-                f"loop must be one of {', '.join(LOOPS)}, got {self.loop!r}"
             )
         self.ro_sites = tuple(sorted(SiteId(int(s)) for s in self.ro_sites))
         for ro in self.ro_sites:
@@ -497,7 +477,6 @@ class LiveSite:
             trace=self.trace,
             wait_durable=self.store.wait_durable,
             chaos=link_chaos,
-            codec=config.codec,
         )
         self.view = _TransportView(self.transport)
         self.txns: dict[int, LiveTxn] = {}

@@ -16,28 +16,8 @@ import gc
 import signal
 import sys
 
-from repro.errors import LiveConfigError, exit_code
+from repro.errors import exit_code
 from repro.live.node import LiveConfig, LiveSite
-
-
-def _runner(loop_name: str):
-    """Resolve the ``asyncio.run``-compatible runner for a loop choice.
-
-    ``uvloop`` is an optional accelerator: it is used only when the
-    interpreter already has it installed.  Asking for it without the
-    package is a configuration error (exit ``EXIT_CONFIG``), not a
-    silent fallback — benchmark sidecars record the loop that actually
-    ran, and a fallback would make that a lie.
-    """
-    if loop_name == "asyncio":
-        return asyncio.run
-    try:
-        import uvloop
-    except ImportError as error:
-        raise LiveConfigError(
-            "loop 'uvloop' requested but uvloop is not installed"
-        ) from error
-    return uvloop.run
 
 
 async def run_site(config: LiveConfig) -> None:
@@ -63,7 +43,7 @@ async def run_site(config: LiveConfig) -> None:
 def serve(config: LiveConfig) -> int:
     """Blocking wrapper: run the site, map failures to exit codes."""
     try:
-        _runner(config.loop)(run_site(config))
+        asyncio.run(run_site(config))
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return 0
     except Exception as error:  # noqa: BLE001 - process boundary

@@ -99,12 +99,9 @@ class SoakConfig:
         requery_interval: Termination-protocol requery period.
         timeout: Per-decision and readiness timeout for the harness.
         fsync_delay_ms: Injected fsync latency for disk profiles.
-        codec: Wire codec every site uses for peer frames.
         presumption: Commit presumption every site runs under
             (``none``, ``abort``, or ``commit``).
         ro_sites: Site ids that participate read-only (phase-1 exit).
-        loop: Event loop every site process runs (``asyncio`` or
-            ``uvloop``).
         trace_cap: Per-site trace ring capacity override (``None``
             keeps the site default).
     """
@@ -122,10 +119,8 @@ class SoakConfig:
     requery_interval: float = 0.3
     timeout: float = 30.0
     fsync_delay_ms: float = 4.0
-    codec: str = "json"
     presumption: str = "none"
     ro_sites: tuple = ()
-    loop: str = "asyncio"
     trace_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -233,10 +228,8 @@ def run_soak(config: SoakConfig) -> SoakResult:
         decide_timeout=config.timeout,
         ready_timeout=config.timeout,
         chaos=policy,
-        codec=config.codec,
         presumption=config.presumption,
         ro_sites=config.ro_sites,
-        loop=config.loop,
         trace_cap=config.trace_cap,
     )
     violations: list[str] = []

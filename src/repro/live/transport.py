@@ -49,12 +49,7 @@ from repro.errors import LiveTimeoutError, TransportError
 from repro.live.chaos import LinkChaos
 from repro.live.clock import TimeoutClock
 from repro.live.wire import encode_frame, read_frame
-from repro.live.wire_bin import (
-    CODEC_JSON,
-    CODECS,
-    frame_decoder_for,
-    frame_encoder_for,
-)
+from repro.live.wire_bin import BinFrameDecoder, encode_frame_bin
 from repro.types import SiteId
 
 #: Reconnect backoff: start fast (loopback restarts are quick), cap low.
@@ -144,22 +139,14 @@ class Transport:
         trace: Callable[..., None] = lambda *a, **k: None,
         wait_durable: Optional[DurabilityGate] = None,
         chaos: Optional[LinkChaos] = None,
-        codec: str = CODEC_JSON,
     ) -> None:
         if site in peers:
             raise TransportError(f"site {site} cannot be its own peer")
-        if codec not in CODECS:
-            raise TransportError(
-                f"unknown wire codec {codec!r} (choose from {', '.join(CODECS)})"
-            )
         self.site = site
         self.host = host
         self.port = port
-        #: Wire codec for *outgoing* peer frames, announced in hellos.
-        #: Inbound connections are decoded per what the peer announced,
-        #: so mixed-codec clusters interoperate per direction.
-        self.codec = codec
-        self._encode_peer = frame_encoder_for(codec)
+        #: Peer frames after the JSON hello are binary (repro.live.wire_bin).
+        self._encode_peer = encode_frame_bin
         self.peers = dict(peers)
         self.clock = clock
         self.boot = int(boot)
@@ -211,7 +198,7 @@ class Transport:
         self.reconnects: dict[SiteId, int] = {p: 0 for p in peers}
         self._dialed: set[SiteId] = set()
         #: Largest receive-side decode buffer ever observed, bytes,
-        #: across all inbound peer connections (see FrameDecoder.hwm).
+        #: across all inbound peer connections (see BinFrameDecoder.hwm).
         self.decoder_hwm = 0
         self._stopped = False
 
@@ -390,17 +377,11 @@ class Transport:
                 self._dialed.add(peer)
             self._writers[peer] = writer
             try:
-                # The hello is always JSON regardless of codec — it is
-                # the negotiation: its ``codec`` field announces how
-                # every later frame on this connection is encoded.
+                # The hello is JSON (the receiver tells peers from
+                # clients by it); every later frame is binary.
                 writer.write(
                     encode_frame(
-                        {
-                            "t": "hello",
-                            "site": int(self.site),
-                            "boot": self.boot,
-                            "codec": self.codec,
-                        }
+                        {"t": "hello", "site": int(self.site), "boot": self.boot}
                     )
                 )
                 await writer.drain()
@@ -546,22 +527,14 @@ class Transport:
             writer.close()
             return
         if first.get("t") == "hello":
-            codec = str(first.get("codec", CODEC_JSON))
-            if codec not in CODECS:
-                self._trace(
-                    "live.bad_codec",
-                    f"hello announcing unknown codec {codec!r}; closing",
-                    peer=int(first.get("site", -1)),
-                )
+            site, boot = first.get("site"), first.get("boot")
+            # The hello comes from outside the process: check it before
+            # trusting it (bool is an int subclass, but no site id).
+            if type(site) is not int or type(boot) is not int or boot < 1:
+                self._trace("live.bad_hello", "malformed hello; closing")
                 writer.close()
                 return
-            await self._peer_receiver(
-                SiteId(int(first["site"])),
-                int(first.get("boot", 1)),
-                codec,
-                reader,
-                writer,
-            )
+            await self._peer_receiver(SiteId(site), boot, reader, writer)
             return
         try:
             await self._on_client(first, reader, writer)
@@ -572,7 +545,6 @@ class Transport:
         self,
         peer: SiteId,
         boot: int,
-        codec: str,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
@@ -629,7 +601,7 @@ class Transport:
         # one read() often yields a whole batch.  EOF with a partial
         # frame buffered is the same dropped connection as a clean EOF:
         # the sender re-queues undrained frames on reconnect.
-        decoder = frame_decoder_for(codec)
+        decoder = BinFrameDecoder()
         try:
             while True:
                 data = await reader.read(65536)

@@ -4,12 +4,9 @@ Same frame boundary as :mod:`repro.live.wire` — a 4-byte big-endian
 length prefix — but the body is a struct-packed record instead of
 sorted-key JSON.  Only the three peer-link frame types exist in binary
 form (``hb``, ``payload``, ``external``); the ``hello`` handshake and
-all client traffic stay JSON, which is what makes per-connection codec
-negotiation possible: every connection opens with a JSON hello, and its
-``codec`` field announces how the *rest of that connection's* frames
-are encoded.  Each direction of a peer pair is its own TCP connection,
-so a JSON site and a binary site interoperate — each side decodes what
-the other announced.
+all client traffic stay JSON.  Every peer connection opens with a JSON
+hello — which is how the receiver tells a peer from a client — and
+carries binary frames after it.
 
 Body layout (after the length prefix)::
 
@@ -39,15 +36,10 @@ fencing, trace stitching, audit) is codec-blind.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Union
+from typing import Any, Callable
 
 from repro.errors import FrameError
-from repro.live.wire import MAX_FRAME, FrameDecoder, encode_frame
-
-#: Codec names as they appear in ``hello`` frames and ``--codec`` flags.
-CODEC_JSON = "json"
-CODEC_BIN = "bin"
-CODECS = (CODEC_JSON, CODEC_BIN)
+from repro.live.wire import MAX_FRAME
 
 _LENGTH = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -472,12 +464,11 @@ def _decode_body(view: memoryview) -> dict[str, Any]:
 
 
 class BinFrameDecoder:
-    """Incremental binary-frame decoder, drop-in for ``FrameDecoder``.
+    """Incremental binary-frame decoder for inbound peer connections.
 
-    Same feed/pending/hwm surface as the JSON decoder so the transport's
-    receive loop is codec-blind; bodies are decoded through a
-    ``memoryview`` of the receive buffer without copying the frame out
-    first.
+    Same feed/pending/hwm surface as the JSON ``FrameDecoder``; bodies
+    are decoded through a ``memoryview`` of the receive buffer without
+    copying the frame out first.
     """
 
     def __init__(self) -> None:
@@ -549,36 +540,3 @@ def decode_frame_bin_bytes(data: bytes) -> tuple[dict[str, Any], bytes]:
         )
     frame = _decode_body(memoryview(data)[_LENGTH.size : end])
     return frame, data[end:]
-
-
-# ----------------------------------------------------------------------
-# Codec registry (the transport's one switch point)
-# ----------------------------------------------------------------------
-
-WireDecoder = Union[FrameDecoder, BinFrameDecoder]
-
-
-def frame_encoder_for(codec: str) -> Callable[[dict[str, Any]], bytes]:
-    """The per-frame encoder a sender uses for its announced codec.
-
-    Raises:
-        FrameError: On an unknown codec name.
-    """
-    if codec == CODEC_JSON:
-        return encode_frame
-    if codec == CODEC_BIN:
-        return encode_frame_bin
-    raise FrameError(f"unknown wire codec {codec!r}")
-
-
-def frame_decoder_for(codec: str) -> WireDecoder:
-    """A fresh incremental decoder for one inbound connection.
-
-    Raises:
-        FrameError: On an unknown codec name.
-    """
-    if codec == CODEC_JSON:
-        return FrameDecoder()
-    if codec == CODEC_BIN:
-        return BinFrameDecoder()
-    raise FrameError(f"unknown wire codec {codec!r}")

@@ -21,12 +21,6 @@ from typing import Callable, Optional
 
 from repro.errors import TransitionError
 from repro.fsa.automaton import SiteAutomaton, Transition
-from repro.fsa.compile import (
-    CompiledAutomaton,
-    CompiledTransition,
-    compile_automaton,
-    engine_compiled,
-)
 from repro.fsa.messages import Msg
 from repro.runtime.log import DTLog
 from repro.runtime.policies import VotePolicy
@@ -80,20 +74,6 @@ class Engine:
         self._membership = membership
         self.state = automaton.initial
         self.buffer: set[Msg] = set()
-        # Compiled fast path: flat tuple-indexed transition tables with
-        # interned message keys (see repro.fsa.compile).  ``_cstate``
-        # and ``_ckeys`` mirror ``state`` and ``buffer`` as small ints;
-        # the mode is captured at construction so a mid-run flip of the
-        # global switch (differential tests) cannot desynchronize them.
-        self._compiled: Optional[CompiledAutomaton] = (
-            compile_automaton(automaton) if engine_compiled() else None
-        )
-        self._cstate = (
-            self._compiled.index[automaton.initial]
-            if self._compiled is not None
-            else -1
-        )
-        self._ckeys: set[int] = set()
         self.transitions_fired = 0
         self._halted = False
         # When the current FSA state (= protocol phase) was entered;
@@ -149,11 +129,6 @@ class Engine:
         if self._halted:
             return
         self.buffer.add(msg)
-        compiled = self._compiled
-        if compiled is not None:
-            key = compiled.msg_keys.get(msg)
-            if key is not None:
-                self._ckeys.add(key)
         self.pump()
 
     def pump(self) -> None:
@@ -166,7 +141,7 @@ class Engine:
             if not fired:
                 return
 
-    def _pick_enabled(self) -> Optional["Transition | CompiledTransition"]:
+    def _pick_enabled(self) -> Optional[Transition]:
         """Choose the transition to fire, resolving vote nondeterminism.
 
         Raises:
@@ -174,18 +149,11 @@ class Engine:
                 disagree on target or writes after vote resolution —
                 genuine ambiguity a correct spec never exhibits.
         """
-        compiled = self._compiled
-        if compiled is not None:
-            keys = self._ckeys
-            enabled = [
-                t for t in compiled.out[self._cstate] if t.reads_keys <= keys
-            ]
-        else:
-            enabled = [
-                t
-                for t in self.automaton.out_transitions(self.state)
-                if t.reads <= self.buffer
-            ]
+        enabled = [
+            t
+            for t in self.automaton.out_transitions(self.state)
+            if t.reads <= self.buffer
+        ]
         if not enabled:
             return None
         if len(enabled) == 1:
@@ -209,7 +177,7 @@ class Engine:
                 )
         return first
 
-    def _fire(self, transition: "Transition | CompiledTransition") -> bool:
+    def _fire(self, transition: Transition) -> bool:
         """Execute one transition.
 
         Returns:
@@ -250,10 +218,7 @@ class Engine:
                 self._now(),
                 forced=self._vote_forced(transition.vote),
             )
-        if self._compiled is not None:
-            entering_final = transition.target_final
-        else:
-            entering_final = self.automaton.is_final(transition.target)
+        entering_final = self.automaton.is_final(transition.target)
         entering_read_only = transition.target in self.automaton.read_only_states
         if entering_final and not entering_read_only:
             outcome = (
@@ -277,8 +242,6 @@ class Engine:
             writes = transition.writes[: partial[1]]
 
         self.buffer -= transition.reads
-        if self._compiled is not None:
-            self._ckeys -= transition.reads_keys
         for msg in writes:
             self._send(msg)
 
@@ -296,8 +259,6 @@ class Engine:
 
         previous = self.state
         self.state = transition.target
-        if self._compiled is not None:
-            self._cstate = transition.target_idx
         self._trace(
             "engine.transition",
             transition.describe(),
@@ -408,8 +369,6 @@ class Engine:
             return
         previous = self.state
         self.state = state
-        if self._compiled is not None:
-            self._cstate = self._compiled.index[state]
         self._trace(
             "engine.forced_state",
             f"moved {previous!r} -> {state!r} by termination protocol",
@@ -431,8 +390,6 @@ class Engine:
         self.log.write_decision(outcome, self._now(), via=via)
         previous = self.state
         self.state = target
-        if self._compiled is not None:
-            self._cstate = self._compiled.index[target]
         self._trace(
             "engine.forced_outcome",
             f"{outcome.value} via {via}",

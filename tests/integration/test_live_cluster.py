@@ -429,11 +429,11 @@ def test_soak_canonical_stitch_byte_stable_under_wan_chaos(tmp_path):
 
 def test_presumption_none_is_byte_identical_to_default(tmp_path):
     """The differential contract: explicitly requesting --presumption
-    none (and the default asyncio loop) changes nothing — the canonical
+    none changes nothing — the canonical
     stitch is byte-identical to a config that never mentions the new
     knobs, and no forced write was elided."""
     outputs = []
-    for run, extra in (("default", {}), ("explicit", {"presumption": "none", "loop": "asyncio"})):
+    for run, extra in (("default", {}), ("explicit", {"presumption": "none"})):
         config = ClusterConfig(
             spec_name="3pc-central",
             n_sites=3,

@@ -239,7 +239,7 @@ class TestBinaryCodecRefusals:
     @given(
         frame=st.sampled_from(
             [
-                {"t": "hello", "site": 1, "boot": 1, "codec": "bin"},
+                {"t": "hello", "site": 1, "boot": 1},
                 {"t": "begin", "txn": 1},
                 {"t": "status", "txn": 1},
                 {"t": "decided", "txn": 1, "outcome": "commit"},

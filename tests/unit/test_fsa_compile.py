@@ -1,14 +1,15 @@
-"""Differential proof that compiled FSA tables equal the interpreted spec.
+"""Run differentials of the one FSA engine.
 
-:mod:`repro.fsa.compile` claims compilation is *structural only*: an
-engine running on integer-keyed tables fires the exact same transitions
-in the exact same order as one interpreting the spec, so every trace,
-decision, and violation is bit-identical.  This suite holds it to that:
-structural checks of the tables themselves, then full-run differentials
-— every catalog protocol through happy paths, crashes, mid-transition
-crashes, restarts, and the entire ``tests/corpus`` explorer artifact
-set — executed once compiled and once interpreted, asserting identical
-transition sequences, outcomes, and schedule hashes.
+The engine interprets the spec's automata directly.  Every run here is
+executed twice — once on a shared spec (or explorer), once on a freshly
+built one inside :func:`repro.fsa.compile.interpreted_engine`, the
+context the benchmark times its interpreted FSA step under — and must
+be bit-identical: every catalog protocol through happy paths, crashes,
+mid-transition crashes, restarts, and the entire ``tests/corpus``
+explorer artifact set, asserting identical transition sequences,
+outcomes, and schedule hashes.  Nothing may leak between runs through a
+reused spec or explorer, and the benchmark's context must change
+nothing.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ import pathlib
 import pytest
 
 from repro.explore import Explorer, ReplayArtifact, replay
-from repro.fsa.compile import (
-    CompiledTransition,
-    compile_automaton,
-    engine_compiled,
-    interpreted_engine,
-    set_engine_compiled,
-)
+from repro.fsa.compile import interpreted_engine
 from repro.protocols import catalog
-from repro.runtime.engine import Engine
 from repro.runtime.harness import CommitRun
 from repro.sim.tracing import TraceLog
 from repro.types import SiteId
@@ -54,116 +48,12 @@ def spec_for(protocol: str):
     return spec
 
 
-@pytest.fixture(autouse=True)
-def _compiled_switch_guard():
-    """Never let a failing test leak the interpreted mode to others."""
-    previous = engine_compiled()
-    yield
-    set_engine_compiled(previous)
-
-
-# ----------------------------------------------------------------------
-# Table structure
-# ----------------------------------------------------------------------
-
-
-class TestCompiledTables:
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_tables_mirror_the_automaton(self, protocol):
-        for automaton in spec_for(protocol).automata.values():
-            compiled = compile_automaton(automaton)
-            assert compiled.states == tuple(sorted(automaton.states))
-            assert all(
-                compiled.index[state] == i
-                for i, state in enumerate(compiled.states)
-            )
-            assert compiled.states[compiled.initial_idx] == automaton.initial
-            for state in compiled.states:
-                row = compiled.out[compiled.index[state]]
-                interpreted = automaton.out_transitions(state)
-                assert len(row) == len(interpreted)
-                for ct, it in zip(row, interpreted):
-                    # The tie-break order and every effect-bearing field
-                    # must be the interpreted transition's, verbatim.
-                    assert ct.origin is it
-                    assert (ct.source, ct.target) == (it.source, it.target)
-                    assert ct.reads == it.reads
-                    assert ct.writes == it.writes
-                    assert ct.vote == it.vote
-                    assert ct.describe() == it.describe()
-                    assert compiled.states[ct.target_idx] == it.target
-                    assert ct.target_final == automaton.is_final(it.target)
-                    assert ct.reads_keys == frozenset(
-                        compiled.msg_keys[msg] for msg in it.reads
-                    )
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_msg_keys_are_dense_and_cover_all_reads(self, protocol):
-        for automaton in spec_for(protocol).automata.values():
-            compiled = compile_automaton(automaton)
-            every_read = {
-                msg
-                for row in compiled.out
-                for transition in row
-                for msg in transition.reads
-            }
-            assert set(compiled.msg_keys) == every_read
-            assert sorted(compiled.msg_keys.values()) == list(
-                range(len(compiled.msg_keys))
-            )
-
-    def test_compilation_is_memoized(self):
-        automaton = next(iter(spec_for("3pc-central").automata.values()))
-        assert compile_automaton(automaton) is compile_automaton(automaton)
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_specs_compile_eagerly_at_load_time(self, protocol):
-        spec = spec_for(protocol)
-        assert set(spec.compiled) == set(spec.automata)
-        for site, compiled in spec.compiled.items():
-            assert compiled is compile_automaton(spec.automata[site])
-
-
-class TestModeSwitch:
-    def test_interpreted_engine_restores_on_exit_and_error(self):
-        assert engine_compiled()
-        with interpreted_engine():
-            assert not engine_compiled()
-        assert engine_compiled()
-        with pytest.raises(RuntimeError):
-            with interpreted_engine():
-                raise RuntimeError("boom")
-        assert engine_compiled()
-
-    def test_engines_capture_the_mode_at_construction(self):
-        spec = spec_for("2pc-central")
-        automaton = next(iter(spec.automata.values()))
-
-        def build():
-            # Effects never fire in this test, so the callbacks are inert.
-            return Engine(
-                automaton,
-                vote_policy=None,
-                log=None,
-                send=lambda msg: None,
-                now=lambda: 0.0,
-                on_final=lambda outcome, via: None,
-                on_trace=lambda *a, **k: None,
-            )
-
-        compiled = build()
-        with interpreted_engine():
-            interpreted = build()
-        assert compiled._compiled is not None
-        assert interpreted._compiled is None
-
-
 # ----------------------------------------------------------------------
 # Full-run trace differential
 # ----------------------------------------------------------------------
 
 
-def run_fingerprint(protocol: str, **kwargs):
+def run_fingerprint(spec, **kwargs):
     """One CommitRun's complete observable behavior, as comparable data.
 
     The trace is serialized entry-by-entry (fixed field order, sorted
@@ -172,7 +62,7 @@ def run_fingerprint(protocol: str, **kwargs):
     content.
     """
     trace = TraceLog()
-    result = CommitRun(spec_for(protocol), trace=trace, **kwargs).execute()
+    result = CommitRun(spec, trace=trace, **kwargs).execute()
     return {
         "outcomes": {int(s): o.value for s, o in result.outcomes().items()},
         "blocked": [int(s) for s in result.blocked_sites],
@@ -188,11 +78,11 @@ def run_fingerprint(protocol: str, **kwargs):
 
 
 def assert_differential(protocol: str, **kwargs):
-    compiled = run_fingerprint(protocol, **kwargs)
+    shared = run_fingerprint(spec_for(protocol), **kwargs)
     with interpreted_engine():
-        interpreted = run_fingerprint(protocol, **kwargs)
-    assert compiled["trace"] == interpreted["trace"]
-    assert compiled == interpreted
+        fresh = run_fingerprint(catalog.build(protocol, 3), **kwargs)
+    assert shared["trace"] == fresh["trace"]
+    assert shared == fresh
 
 
 class TestRunDifferential:
@@ -209,8 +99,8 @@ class TestRunDifferential:
 
     @pytest.mark.parametrize("protocol", ["2pc-central", "3pc-central"])
     def test_mid_transition_crash_traces_are_identical(self, protocol):
-        # Slide 21's non-atomic transition: the compiled engine must
-        # interrupt the same firing after the same write prefix.
+        # Slide 21's non-atomic transition: both runs must interrupt
+        # the same firing after the same write prefix.
         assert_differential(
             protocol,
             seed=5,
@@ -267,14 +157,14 @@ def outcome_fingerprint(outcome):
 def test_corpus_replays_identically_in_both_modes(path):
     # The corpus is the hardest schedule set this repo owns — every
     # minimized counterexample and witness must take the exact same
-    # decision trail, hash, and verdict through the compiled tables.
+    # decision trail, hash, and verdict through a reused explorer and
+    # a fresh one.
     artifact = ReplayArtifact.load(str(path))
-    explorer = _explorer_for(artifact)
-    compiled = replay(artifact, explorer=explorer)
+    shared = replay(artifact, explorer=_explorer_for(artifact))
     with interpreted_engine():
-        interpreted = replay(artifact, explorer=explorer)
-    assert compiled.ok and interpreted.ok
-    assert compiled.verdict == interpreted.verdict
-    assert outcome_fingerprint(compiled.outcome) == outcome_fingerprint(
-        interpreted.outcome
+        fresh = replay(artifact, explorer=Explorer(artifact.config))
+    assert shared.ok and fresh.ok
+    assert shared.verdict == fresh.verdict
+    assert outcome_fingerprint(shared.outcome) == outcome_fingerprint(
+        fresh.outcome
     )

@@ -16,7 +16,8 @@ from repro.live.stitch import (
     stitch,
     stitch_data_dir,
 )
-from repro.live.wire import encode_frame, stamp_trace_context
+from repro.live.wire import stamp_trace_context
+from repro.live.wire_bin import encode_frame_bin
 from repro.sim.spans import SpanIndex
 from repro.sim.tracing import TraceLog
 from repro.types import SiteId
@@ -293,9 +294,9 @@ class TestStaleIncarnationDrop:
 
         async def go() -> None:
             reader = asyncio.StreamReader()
-            reader.feed_data(encode_frame(frame))
+            reader.feed_data(encode_frame_bin(frame))
             reader.feed_eof()
-            await transport._peer_receiver(SiteId(2), 1, "json", reader, _Writer())
+            await transport._peer_receiver(SiteId(2), 1, reader, _Writer())
 
         asyncio.run(go())
         assert received == []  # fenced, never delivered

@@ -342,7 +342,6 @@ class TestLiveConfigValidation:
     def test_defaults_are_valid(self):
         config = self._config()
         assert config.presumption == "none"
-        assert config.loop == "asyncio"
         assert config.ro_sites == ()
 
     @pytest.mark.parametrize("presumption", ["abort", "commit"])
@@ -352,10 +351,6 @@ class TestLiveConfigValidation:
     def test_unknown_presumption_rejected(self):
         with pytest.raises(LiveConfigError):
             self._config(presumption="maybe")
-
-    def test_unknown_loop_rejected(self):
-        with pytest.raises(LiveConfigError):
-            self._config(loop="trio")
 
     def test_ro_sites_normalized(self):
         config = self._config(spec_name="2pc-central", ro_sites=(3,))
@@ -381,10 +376,6 @@ class TestClusterConfigValidation:
     def test_unknown_presumption_rejected(self):
         with pytest.raises(LiveConfigError):
             self._config(presumption="always")
-
-    def test_unknown_loop_rejected(self):
-        with pytest.raises(LiveConfigError):
-            self._config(loop="twisted")
 
     def test_trace_cap_must_be_positive(self):
         with pytest.raises(LiveConfigError):

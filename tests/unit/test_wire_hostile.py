@@ -7,16 +7,21 @@ dropped connection is redelivered intact by the sender's outbox — the
 mid-frame reconnect contract the transport's peek-then-pop drain
 provides.  This suite drives the JSON and binary decoders with torn,
 truncated, duplicated, oversized, interleaved, and random hostile
-inputs, plus the zero-length-frame reject.
+inputs, plus the zero-length-frame reject.  JSON still carries every
+connection's hello and all client traffic; binary carries peer frames
+after the hello, and a malformed hello closes the connection.
 """
 
 import asyncio
 import random
+import socket
 import struct
 
 import pytest
 
 from repro.errors import FrameError
+from repro.live.clock import TimeoutClock
+from repro.live.transport import Transport
 from repro.live.wire import (
     MAX_FRAME,
     FrameDecoder,
@@ -29,7 +34,6 @@ from repro.live.wire_bin import (
     BinFrameDecoder,
     decode_frame_bin_bytes,
     encode_frame_bin,
-    frame_decoder_for,
 )
 from repro.runtime.messages import ProtoMsg, TermMoveTo, TermStateReply
 from repro.types import Outcome, SiteId
@@ -53,6 +57,7 @@ REPLY_FRAME = {
 }
 HB_FRAME = {"t": "hb", "site": 3}
 FRAMES = [PAYLOAD_FRAME, MOVE_FRAME, REPLY_FRAME, HB_FRAME]
+DECODERS = {"json": FrameDecoder, "bin": BinFrameDecoder}
 
 
 def read_one(data: bytes):
@@ -134,7 +139,7 @@ class TestLengthPrefixHostility:
 
     @pytest.mark.parametrize("codec", ["json", "bin"])
     def test_zero_length_frame_rejected_incrementally(self, codec):
-        decoder = frame_decoder_for(codec)
+        decoder = DECODERS[codec]()
         with pytest.raises(FrameError, match="zero-length"):
             decoder.feed(self.ZERO)
 
@@ -152,7 +157,7 @@ class TestLengthPrefixHostility:
     def test_oversized_prefix_rejected_before_buffering_body(self, codec):
         # The decoder must refuse immediately — waiting for MAX_FRAME+1
         # bytes that never come is the hang this suite exists to catch.
-        decoder = frame_decoder_for(codec)
+        decoder = DECODERS[codec]()
         with pytest.raises(FrameError, match="MAX_FRAME"):
             decoder.feed(self.HUGE + b"x")
 
@@ -179,9 +184,9 @@ class TestInterleavedCodecs:
             FrameDecoder().feed(encode_frame_bin(PAYLOAD_FRAME))
 
     def test_codec_switch_mid_stream_is_an_error_not_corruption(self):
-        # A peer must never change codec after its hello.  The valid
-        # prefix decodes; the foreign frame raises instead of yielding
-        # a wrong dict.
+        # After the JSON hello a peer link is binary only.  The valid
+        # prefix decodes; a JSON frame raises instead of yielding a
+        # wrong dict.
         decoder = BinFrameDecoder()
         assert decoder.feed(encode_frame_bin(MOVE_FRAME)) == [MOVE_FRAME]
         with pytest.raises(FrameError):
@@ -312,7 +317,7 @@ class TestRandomFuzz:
         for seed in range(200):
             rng = random.Random(seed)
             blob = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 120)))
-            decoder = frame_decoder_for(codec)
+            decoder = DECODERS[codec]()
             try:
                 while blob:
                     cut = rng.randrange(1, len(blob) + 1)
@@ -350,3 +355,79 @@ class TestRandomFuzz:
                         assert isinstance(decoded, dict)
                 except FrameError:
                     pass
+
+
+# ----------------------------------------------------------------------
+# Malformed hellos on a live listener
+# ----------------------------------------------------------------------
+
+
+class TestMalformedHello:
+    BAD_HELLOS = [
+        {"t": "hello"},
+        {"t": "hello", "site": "x", "boot": 1},
+        {"t": "hello", "site": 2, "boot": "x"},
+        {"t": "hello", "site": [1], "boot": 1},
+        {"t": "hello", "site": 2},
+        {"t": "hello", "site": 2, "boot": 0},
+        {"t": "hello", "site": True, "boot": 1},
+    ]
+
+    def test_bad_hello_is_traced_and_closed_and_good_hello_still_works(self):
+        # The hello is the first bytes from outside the process: a bad
+        # one is traced and dropped, never raised into the event loop.
+        async def go():
+            sock = socket.socket()
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+            sock.close()
+            loop_errors, traces, frames = [], [], []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+
+            async def on_frame(peer, frame):
+                frames.append((peer, frame))
+
+            async def on_client(first, reader, writer):
+                writer.close()
+
+            transport = Transport(
+                site=SiteId(1),
+                host="127.0.0.1",
+                port=port,
+                peers={SiteId(2): ("127.0.0.1", 1)},
+                clock=TimeoutClock(),
+                on_frame=on_frame,
+                on_client=on_client,
+                on_suspect=lambda peer: None,
+                on_recover=lambda peer: None,
+                hb_interval=10.0,
+                suspect_after=60.0,
+                trace=lambda category, detail="", **data: traces.append(category),
+            )
+            await transport.start()
+            try:
+                for hello in self.BAD_HELLOS:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    writer.write(encode_frame(hello))
+                    await writer.drain()
+                    closed = await asyncio.wait_for(read_frame(reader), 2.0)
+                    assert closed is None, hello
+                    writer.close()
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_frame({"t": "hello", "site": 2, "boot": 1}))
+                writer.write(encode_frame_bin(MOVE_FRAME))
+                await writer.drain()
+                for _ in range(500):
+                    if frames:
+                        break
+                    await asyncio.sleep(0.005)
+                writer.close()
+            finally:
+                await transport.stop()
+            assert traces.count("live.bad_hello") == len(self.BAD_HELLOS)
+            assert frames == [(SiteId(2), MOVE_FRAME)]
+            assert loop_errors == []
+
+        asyncio.run(go())
